@@ -12,6 +12,7 @@ from klights import (
     is_k_aw,
     neighborhood_matrix,
     solve_labeling,
+    unwinnable_certificate,
 )
 
 # The directed triangle: 0 beats 1, 1 beats 2, 2 beats 0.
@@ -42,6 +43,10 @@ print()
 stuck = Labeling((1, 0, 0), 2)
 print("winning presses for (1,0,0) mod 2:", solve_labeling(c3, stuck))
 print("exhaustive search agrees:", brute_force_solve(c3, stuck))
+# The solver proves it too: weights y, summing to 0 over every vertex
+# and the vertex it beats, so no press changes the weighted label sum.
+# Here y = (1,1,1) is that parity argument, and (1,0,0) has sum 1.
+print("certificate weights:", unwinnable_certificate(c3, stuck).values)
 print()
 
 # "k-AW" (k-Always-Winnable) means every starting labeling can be won.

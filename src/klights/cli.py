@@ -5,6 +5,9 @@ small text files: '#' comment lines, a header "n <count>", then one
 "<tail> <head>" arc per line (0-based).  Output is plain text with one
 fact per line.  Exit status is 0 for success, 1 for a negative game
 answer (unwinnable labeling, census disagreement), 2 for bad input.
+An unwinnable ``solve`` prints UNWINNABLE on stdout and its certificate
+(see ``game.unwinnable_certificate``) as "= certificate y0,y1,..." on
+stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ import sys
 from .digraph import Digraph, strong_components
 from .errors import CapacityError, InputError, ParseError
 from .feedback import all_minimum_fas, classify_arc_induced, min_fas_witness
-from .game import Labeling, is_k_aw, neighborhood_matrix, solve_labeling
+from .game import (
+    Labeling,
+    is_k_aw,
+    neighborhood_matrix,
+    solve_labeling,
+    unwinnable_certificate,
+)
 from .modalg import det_int
 from .oracle import run_theorem_census
 
@@ -99,6 +108,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     toggles = solve_labeling(d, labeling)
     if toggles is None:
         print("UNWINNABLE")
+        y = unwinnable_certificate(d, labeling)
+        print("= certificate " + ",".join(map(str, y.values)), file=sys.stderr)
         return 1
     print(",".join(str(x) for x in toggles.values))
     return 0

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 from .digraph import Digraph, check_ordering, induced_subgraph, strong_components
 from .errors import InputError
-from .modalg import IntMatrix, ModMatrix, ModVector, det_int, is_unit_mod, solve_mod
+from .modalg import (
+    IntMatrix,
+    ModMatrix,
+    ModVector,
+    det_int,
+    is_unit_mod,
+    solve_mod,
+    unsolvable_certificate,
+)
 
 # Both are vectors indexed by vertex: a labeling holds the current
 # light values, a toggle vector holds how many times to press each.
@@ -86,6 +94,17 @@ def solve_labeling(d: Digraph, labeling: Labeling) -> ToggleVector | None:
     """Toggle counts that clear the labeling, or None if it is unwinnable."""
     _check_vector(d, labeling)
     return solve_mod(system_matrix(d, labeling.modulus), labeling.negate())
+
+
+def unwinnable_certificate(d: Digraph, labeling: Labeling) -> ModVector | None:
+    """Vertex weights y proving the labeling unwinnable, or None if it is winnable.
+
+    For every vertex v, y summed over v and the vertices v dominates is
+    0 mod k, so no press changes the weighted sum of the labels.  That
+    sum is y . labeling != 0, while a cleared board has sum 0.
+    """
+    _check_vector(d, labeling)
+    return unsolvable_certificate(system_matrix(d, labeling.modulus), labeling.negate())
 
 
 def is_winnable(d: Digraph, labeling: Labeling) -> bool:

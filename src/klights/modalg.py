@@ -2,9 +2,13 @@
 
 Everything here uses Python's arbitrary-precision integers, so results
 are exact at any size.  Determinants use fraction-free (Bareiss)
-elimination; linear systems modulo k, where k need not be prime, go
-through the Smith normal form so that solvability is decided correctly
-even when the matrix is singular mod k.
+elimination.  Linear systems modulo k, where k need not be prime, are
+solved by elimination modulo each prime power q = p**e dividing k, with
+every entry kept in [0, q), and the answers are joined by the Chinese
+remainder theorem.  A system with no solution yields a certificate: a
+vector y with y m == 0 and y . c != 0 (mod k).  ``smith_normal_form``
+diagonalizes an integer matrix with unimodular transforms; no solver
+uses it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import InputError
 
@@ -281,35 +286,145 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
 
 
-def solve_mod(m: ModMatrix, c: ModVector) -> ModVector | None:
-    """One solution of ``m @ x == c`` over Z/kZ, or None when there is none.
+def _prime_powers(k: int) -> list[int]:
+    """The prime powers p**e whose product is k, by trial division."""
+    out = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            q = 1
+            while k % p == 0:
+                k //= p
+                q *= p
+            out.append(q)
+        p += 1 if p == 2 else 2
+    if k > 1:
+        out.append(k)
+    return out
 
-    Works for any modulus and any (possibly singular, possibly
-    non-square) matrix.  The returned solution is deterministic but not
-    guaranteed extremal in any ordering.
+
+def _eliminate(
+    m: ModMatrix, c: ModVector, q: int, track: bool
+) -> tuple[list[int] | None, list[int] | None]:
+    """Solve ``m @ x == c`` modulo the prime power q, or show it has no solution.
+
+    Row reduction of the augmented system mod q.  Each pivot is an entry
+    of least p-valuation in the remaining block, so it divides every
+    entry left: each multiplier is an exact quotient and every entry
+    stays in [0, q).  The pivot row is scaled by a unit so its pivot is
+    g = gcd(pivot, q) = p**v.  A pivot row whose right-hand side g does
+    not divide, or a zero row with a nonzero right-hand side, makes the
+    system unsolvable mod q.
+
+    Returns ``(x, None)`` with x a solution mod q (free unknowns 0), or
+    ``(None, y)`` when there is none.  With ``track`` the row transform
+    rides along as extra columns, and y is a vector with y m == 0 and
+    y . c != 0 (mod q): the failing row of the transform times q / g, or
+    times 1 for a zero row.  Without ``track`` y is None.
     """
+    nr, nc = m.nrows, m.ncols
+    a = [[x % q for x in row] + [b % q] for row, b in zip(m.rows, c.values)]
+    if track:
+        for i, row in enumerate(a):
+            row.extend(1 if j == i else 0 for j in range(nr))
+    cols = list(range(nc))  # cols[t]: the unknown now in column t
+    divisors = []  # divisors[t]: the pivot p**v of row t
+    r = 0
+    while r < min(nr, nc):
+        best, bi, bj = q, r, r
+        for i in range(r, nr):
+            row = a[i]
+            for j in range(r, nc):
+                if row[j]:
+                    g = gcd(row[j], q)
+                    if g < best:
+                        best, bi, bj = g, i, j
+                        if g == 1:
+                            break
+            if best == 1:
+                break
+        if best == q:
+            break  # the remaining block is zero mod q
+        a[r], a[bi] = a[bi], a[r]
+        if bj != r:
+            for row in a:
+                row[r], row[bj] = row[bj], row[r]
+            cols[r], cols[bj] = cols[bj], cols[r]
+        piv = a[r]
+        unit = pow(piv[r] // best, -1, q)
+        if unit != 1:
+            piv[r:] = [x * unit % q for x in piv[r:]]
+        if piv[nc] % best:
+            return None, [q // best * y % q for y in piv[nc + 1 :]] if track else None
+        tail = piv[r:]
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[r]
+            if f:
+                f //= best
+                row[r:] = [(x - f * y) % q for x, y in zip(row[r:], tail)]
+        divisors.append(best)
+        r += 1
+    for row in a[r:]:
+        if row[nc]:
+            return None, row[nc + 1 :] if track else None
+    z = [0] * nc
+    for t in range(r - 1, -1, -1):
+        row = a[t]
+        s = row[nc] - sum(map(mul, row[t + 1 : r], z[t + 1 : r]))
+        z[t] = s % q // divisors[t]
+    x = [0] * nc
+    for t, j in enumerate(cols):
+        x[j] = z[t]
+    return x, None
+
+
+def _check_system(m: ModMatrix, c: ModVector) -> None:
     if c.modulus != m.modulus:
         raise InputError("modulus mismatch")
     if len(c.values) != m.nrows:
         raise InputError(f"size mismatch: {m.nrows} rows, {len(c.values)} targets")
+
+
+def solve_mod(m: ModMatrix, c: ModVector) -> ModVector | None:
+    """One solution of ``m @ x == c`` over Z/kZ, or None when there is none.
+
+    Works for any modulus and any (possibly singular, possibly
+    non-square) matrix.  The system is solved modulo each prime power q
+    of k by elimination whose entries stay in [0, q), with free unknowns
+    set to 0, and the solutions are joined by the Chinese remainder
+    theorem.  The result is deterministic but not extremal in any
+    ordering.  k is factored by trial division, in about
+    max(p2, sqrt(p1)) / 2 steps for the two largest prime factors
+    p1 >= p2 of k: a handful for the moduli of the game, but 5 * 10**6
+    for a prime k near 10**14.
+    """
+    _check_system(m, c)
     k = m.modulus
-    u, d, v = smith_normal_form(m.lift())
-    uc = [sum(a * b for a, b in zip(row, c.values)) % k for row in u.rows]
-    z = [0] * m.ncols
-    for i in range(m.nrows):
-        di = d.rows[i][i] if i < m.ncols else 0
-        rhs = uc[i]
-        if di == 0:
-            if rhs != 0:
-                return None
-            continue
-        g = gcd(di, k)
-        if rhs % g != 0:
+    x = [0] * m.ncols
+    for q in _prime_powers(k):
+        xq, _ = _eliminate(m, c, q, track=False)
+        if xq is None:
             return None
-        kk = k // g
-        if kk == 1:
-            z[i] = 0
-        else:
-            z[i] = (rhs // g) * pow((di // g) % kk, -1, kk) % kk
-    x = [sum(row[j] * z[j] for j in range(m.ncols)) % k for row in v.rows]
-    return ModVector(tuple(x), k)
+        # e == 1 mod q and e == 0 mod k/q, so x keeps the other residues.
+        e = k // q * pow(k // q, -1, q)
+        x = [a + e * b for a, b in zip(x, xq)]
+    return ModVector(tuple(a % k for a in x), k)
+
+
+def unsolvable_certificate(m: ModMatrix, c: ModVector) -> ModVector | None:
+    """Proof that ``m @ x == c`` has no solution over Z/kZ, or None if it has one.
+
+    The proof is a vector y with y m == 0 and y . c != 0 (mod k): for
+    any x, y . (m x) would be 0.
+    It comes from the elimination behind :func:`solve_mod`, run again
+    with the row transform only for the first prime power q of k that
+    fails, and is scaled by k / q so that it holds mod k.
+    """
+    _check_system(m, c)
+    k = m.modulus
+    for q in _prime_powers(k):
+        if _eliminate(m, c, q, track=False)[0] is None:
+            _, y = _eliminate(m, c, q, track=True)
+            return ModVector(tuple(k // q * v % k for v in y), k)
+    return None

@@ -4,7 +4,8 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s``) and
 asserts both the mathematical claim and its time budget.  Criteria 7
 and 8 sweep tournaments up to n=5 by default; set KLIGHTS_CENSUS_N6=1
 to extend them to all 32768 labeled tournaments on 6 vertices, which
-takes a few extra minutes.
+adds about a minute: this file took 63 s instead of 5 s on a 2-core
+Intel Xeon machine with Python 3.11.7.
 """
 
 import os

@@ -69,6 +69,17 @@ class TestSolveCommand:
         assert main(["solve", "--k", "2", "--labels", "1,0,0", c3_file]) == 1
         assert capsys.readouterr().out == "UNWINNABLE\n"
 
+    def test_unwinnable_certificate_on_stderr(self, c3_file, capsys):
+        assert main(["solve", "--k", "2", "--labels", "1,0,0", c3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "UNWINNABLE\n"
+        key, _, value = captured.err.strip().rpartition(" ")
+        assert key == "= certificate"
+        y = [int(v) for v in value.split(",")]
+        # Each closed out-neighbourhood of C3 is {v, v+1}; y . (1, 0, 0) is y[0].
+        assert all((y[v] + y[(v + 1) % 3]) % 2 == 0 for v in range(3))
+        assert y[0] % 2 == 1
+
     def test_label_count_mismatch(self, c3_file, capsys):
         assert main(["solve", "--k", "3", "--labels", "1,1", c3_file]) == 2
         assert "expected 3 labels" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from klights import (
     random_digraph,
     solve_labeling,
     system_matrix,
+    unwinnable_certificate,
 )
 
 from oracles import all_digraphs
@@ -131,6 +132,73 @@ class TestSolveLabeling:
             k = rng.randint(2, 12)
             lam = Labeling(tuple(rng.randrange(k) for _ in range(n)), k)
             assert solve_labeling(d, lam) is not None
+
+
+def grid(s):
+    """The s x s Lights Out board: each cell dominates its 4 neighbours."""
+    arcs = []
+    for r in range(s):
+        for c in range(s):
+            if c + 1 < s:
+                arcs += [(r * s + c, r * s + c + 1), (r * s + c + 1, r * s + c)]
+            if r + 1 < s:
+                arcs += [(r * s + c, (r + 1) * s + c), ((r + 1) * s + c, r * s + c)]
+    return from_arcs(s * s, arcs)
+
+
+class TestSolveAtScale:
+    """Answers at the sizes where elimination bugs show, each checked on its own terms.
+
+    A toggle vector must clear the board under apply_toggles; an
+    unwinnable verdict must come with weights y that sum to 0 over every
+    closed out-neighbourhood while y . board != 0.
+    """
+
+    @staticmethod
+    def check(d, board):
+        k = board.modulus
+        x = solve_labeling(d, board)
+        y = unwinnable_certificate(d, board)
+        if x is not None:
+            assert y is None
+            assert apply_toggles(d, board, x).values == (0,) * d.n
+            return True
+        for v in range(d.n):
+            assert (y.values[v] + sum(y.values[w] for w in d.out_lists[v])) % k == 0
+        assert sum(a * b for a, b in zip(y.values, board.values)) % k != 0
+        return False
+
+    @staticmethod
+    def boards(d, k, seed, count):
+        """Half pressed from the zero board (always winnable), half random."""
+        rng = random.Random(seed)
+        zero = Labeling((0,) * d.n, k)
+        for _ in range(count):
+            presses = ToggleVector(tuple(rng.randrange(k) for _ in range(d.n)), k)
+            yield apply_toggles(d, zero, presses)
+            yield Labeling(tuple(rng.randrange(k) for _ in range(d.n)), k)
+
+    def test_grid_10_mod_2(self):
+        d = grid(10)
+        verdicts = [self.check(d, b) for b in self.boards(d, 2, 10, 3)]
+        assert verdicts[::2] == [True] * 3
+
+    @pytest.mark.parametrize("k", [2, 6, 12])
+    def test_grid_9_unwinnable_boards(self, k):
+        d = grid(9)
+        verdicts = [self.check(d, b) for b in self.boards(d, k, 9, 3)]
+        assert verdicts[::2] == [True] * 3
+        assert False in verdicts[1::2]
+
+    def test_grid_15_mod_6(self):
+        d = grid(15)
+        verdicts = [self.check(d, b) for b in self.boards(d, 6, 15, 1)]
+        assert verdicts[0]
+
+    def test_random_200_mod_12(self):
+        d = random_digraph(200, 0.3, 1)
+        verdicts = [self.check(d, b) for b in self.boards(d, 12, 200, 1)]
+        assert verdicts == [True, False]  # the random board needs a certificate
 
 
 class TestKAlwaysWinnable:

@@ -14,6 +14,7 @@ from klights import (
     is_unit_mod,
     smith_normal_form,
     solve_mod,
+    unsolvable_certificate,
 )
 
 from oracles import det_cofactor
@@ -241,3 +242,94 @@ class TestSolveMod:
         assert x is not None
         assert (m @ x).values == (4, 3)
         assert solve_mod(m, ModVector((1, 0), 6)) is None
+
+
+def check_certificate(m, c, y):
+    """y m == 0 and y . c != 0 (mod k): no x can solve m x == c."""
+    k = m.modulus
+    assert len(y.values) == m.nrows and y.modulus == k
+    for j in range(m.ncols):
+        assert sum(y.values[i] * m.rows[i][j] for i in range(m.nrows)) % k == 0
+    assert sum(a * b for a, b in zip(y.values, c.values)) % k != 0
+
+
+class TestUnsolvableCertificate:
+    def test_c3_mod2(self):
+        m = ModMatrix.from_rows(C3_SYSTEM_ROWS, 2)
+        c = ModVector((1, 0, 0), 2)
+        check_certificate(m, c, unsolvable_certificate(m, c))
+
+    def test_none_when_solvable(self):
+        m = ModMatrix.from_rows(C3_SYSTEM_ROWS, 3)
+        assert unsolvable_certificate(m, ModVector((2, 2, 2), 3)) is None
+
+    def test_pivot_row_needs_scaling(self):
+        """2 x == 1 mod 4 fails on a pivot row: y = 2, not 1."""
+        m = ModMatrix.from_rows([[2]], 4)
+        c = ModVector((1,), 4)
+        assert solve_mod(m, c) is None
+        assert unsolvable_certificate(m, c).values == (2,)
+
+    def test_zero_row(self):
+        m = ModMatrix.from_rows([[3, 0], [0, 0]], 6)
+        c = ModVector((0, 5), 6)
+        assert solve_mod(m, c) is None
+        check_certificate(m, c, unsolvable_certificate(m, c))
+
+    def test_scaled_to_k_from_failing_prime_power(self):
+        """Solvable mod 4, not mod 9: y is 4 times a certificate mod 9."""
+        m = ModMatrix.from_rows([[3, 0], [0, 6]], 36)
+        c = ModVector((1, 4), 36)
+        y = unsolvable_certificate(m, c)
+        check_certificate(m, c, y)
+        assert all(v % 4 == 0 for v in y.values)
+
+    def test_no_columns(self):
+        m = ModMatrix.from_rows([[], []], 12)
+        assert solve_mod(m, ModVector((0, 0), 12)).values == ()
+        c = ModVector((0, 8), 12)
+        assert solve_mod(m, c) is None
+        check_certificate(m, c, unsolvable_certificate(m, c))
+
+    def test_mismatch_errors(self):
+        m = ModMatrix.from_rows([[1, 0], [0, 1]], 3)
+        with pytest.raises(InputError):
+            unsolvable_certificate(m, ModVector((1,), 3))
+
+
+class TestPrimePowerSweeps:
+    """solve_mod and its certificates against brute force, k a prime power or not."""
+
+    @staticmethod
+    def entry(rng, k):
+        # Multiples of a divisor of k make the pivots of higher p-valuation.
+        scale = rng.choice([d for d in range(1, k + 1) if k % d == 0])
+        return rng.randrange(k) * scale % k
+
+    @pytest.mark.parametrize("k", [4, 8, 9, 12, 36])
+    def test_against_brute_force(self, k):
+        rng = random.Random(1000 + k)
+        outcomes = set()
+        for _ in range(120):
+            nc = rng.randint(1, 3)
+            while k**nc > 2000:
+                nc -= 1
+            nr = rng.randint(1, 3)
+            m = ModMatrix.from_rows(
+                [[self.entry(rng, k) for _ in range(nc)] for _ in range(nr)], k
+            )
+            c = ModVector(tuple(self.entry(rng, k) for _ in range(nr)), k)
+            exists = any(
+                (m @ ModVector(cand, k)).values == c.values
+                for cand in product(range(k), repeat=nc)
+            )
+            x = solve_mod(m, c)
+            y = unsolvable_certificate(m, c)
+            assert (x is not None) == exists
+            assert (y is None) == exists
+            if exists:
+                assert (m @ x).values == c.values
+            else:
+                check_certificate(m, c, y)
+            outcomes.add(exists)
+        assert outcomes == {True, False}
