@@ -13,19 +13,14 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .digraph import Digraph, strong_components
 from .errors import CapacityError, InputError, ParseError
 from .feedback import all_minimum_fas, classify_arc_induced, min_fas_witness
-from .game import (
-    Labeling,
-    is_k_aw,
-    neighborhood_matrix,
-    solve_labeling,
-    unwinnable_certificate,
-)
-from .modalg import det_int
+from .game import Labeling, neighborhood_det, solve_labeling, unwinnable_certificate
+from .modalg import is_unit_mod
 from .oracle import run_theorem_census
 
 
@@ -121,11 +116,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.k_max < args.k_min:
         raise InputError(f"--k-max must be >= --k-min, got {args.k_max} < {args.k_min}")
     d = _load(args.file)
-    print(f"det(N) = {det_int(neighborhood_matrix(d))}")
+    det = neighborhood_det(d)
+    print(f"det(N) = {det}")
     comps = " ".join("{" + ",".join(map(str, c)) + "}" for c in strong_components(d))
     print(f"components: {comps}")
     for k in range(args.k_min, args.k_max + 1):
-        verdict = "k-AW" if is_k_aw(d, k) else "not k-AW"
+        verdict = "k-AW" if is_unit_mod(det, k) else "not k-AW"
         print(f"{k}: {verdict}")
     return 0
 
@@ -166,7 +162,9 @@ def _render_arcs(arcs: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"{u}->{v}" for u, v in arcs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="klights",
         description="Solve and classify the k-lights-out game on directed graphs.",

@@ -215,9 +215,8 @@ def induced_subgraph(d: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tupl
         if not 0 <= w < d.n:
             raise InputError(f"vertex {w} outside [0, {d.n})")
     index = {w: i for i, w in enumerate(verts)}
-    keep = set(verts)
     sub = Digraph(
         len(verts),
-        frozenset((index[u], index[v]) for u, v in d.arcs if u in keep and v in keep),
+        frozenset((index[u], index[v]) for u in verts for v in d.out_lists[u] if v in index),
     )
     return sub, tuple(verts)

@@ -70,9 +70,17 @@ def system_matrix(d: Digraph, k: int) -> ModMatrix:
     Column v records which labels a toggle at v bumps, so this is the
     transpose of :func:`neighborhood_matrix` reduced mod k: solving
     ``system_matrix(d, k) @ x == c`` finds toggle counts x whose total
-    effect on the labels is c.
+    effect on the labels is c.  Row w marks w and every u with an arc
+    u -> w, so it is built straight from the in-neighbour lists.
     """
-    return neighborhood_matrix(d).transpose().reduce(k)
+    rows = []
+    for w in range(d.n):
+        row = [0] * d.n
+        row[w] = 1
+        for u in d.in_lists[w]:
+            row[u] = 1
+        rows.append(tuple(row))
+    return ModMatrix(tuple(rows), k)
 
 
 def apply_toggles(d: Digraph, labeling: Labeling, toggles: ToggleVector) -> Labeling:
@@ -111,15 +119,37 @@ def is_winnable(d: Digraph, labeling: Labeling) -> bool:
     return solve_labeling(d, labeling) is not None
 
 
+def neighborhood_det(d: Digraph) -> int:
+    """Exact determinant of :func:`neighborhood_matrix`, one strong component at a time.
+
+    Number the vertices component by component, in the acyclic order of
+    :func:`strong_components`.  Every arc between two components then
+    runs from an earlier block to a later one, so for that permutation
+    matrix P, P N P^T is block upper triangular with the components'
+    own neighborhood matrices on its diagonal.  Its determinant is
+    det(P)^2 det(N) = det(N), so det(N) is the product of the blocks'
+    determinants, sign included.  A single vertex's block is [1], as
+    there are no self-loops, so an acyclic digraph has det(N) = 1 and
+    needs no elimination.
+    """
+    det = 1
+    for comp in strong_components(d):
+        if len(comp) > 1:
+            sub, _ = induced_subgraph(d, comp)
+            det *= det_int(neighborhood_matrix(sub))
+    return det
+
+
 def is_k_aw(d: Digraph, k: int) -> bool:
     """True iff every labeling of d is winnable with k states per light.
 
-    Holds exactly when the neighborhood determinant is a unit mod k.
-    The empty digraph qualifies vacuously.
+    Holds exactly when det(N) is a unit mod k.  The determinant comes
+    from :func:`neighborhood_det`, block by block over the strong
+    components.  The empty digraph qualifies vacuously.
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
-    return is_unit_mod(det_int(neighborhood_matrix(d)), k)
+    return is_unit_mod(neighborhood_det(d), k)
 
 
 def is_k_aw_componentwise(d: Digraph, k: int) -> bool:

@@ -166,11 +166,14 @@ def det_int(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
+        p = a[t][t]
+        pivot_tail = a[t][t + 1 :]
+        for row in a[t + 1 :]:
+            f = row[t]
+            if f == 0 and p == prev:
+                continue  # the update below would leave the row as it is
+            row[t + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[t + 1 :], pivot_tail)]
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

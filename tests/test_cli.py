@@ -4,8 +4,15 @@ import sys
 
 import pytest
 
-from klights import ParseError, from_arcs, random_digraph
-from klights.cli import format_graph, main, parse_graph
+from klights import (
+    ParseError,
+    brute_force_is_k_aw,
+    det_int,
+    from_arcs,
+    neighborhood_matrix,
+    random_digraph,
+)
+from klights.cli import _build_parser, format_graph, main, parse_graph
 
 C3_TEXT = "n 3\n0 1\n1 2\n2 0\n"
 
@@ -108,6 +115,21 @@ class TestClassifyCommand:
     def test_bad_range(self, c3_file, capsys):
         assert main(["classify", "--k-min", "5", "--k-max", "3", c3_file]) == 2
 
+    def test_det_and_verdicts_against_full_matrix_and_brute_force(self, tmp_path, capsys):
+        sizes = enumerate((0, 1, 2, 3, 4, 4, 5))
+        graphs = [random_digraph(n, p, seed) for seed, n in sizes for p in (0.2, 0.6)]
+        graphs.append(from_arcs(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2)]))
+        for i, d in enumerate(graphs):
+            path = tmp_path / f"g{i}.dg"
+            path.write_text(format_graph(d))
+            assert main(["classify", "--k-max", "6", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f"det(N) = {det_int(neighborhood_matrix(d))}"
+            verdicts = [
+                f"{k}: {'k-AW' if brute_force_is_k_aw(d, k) else 'not k-AW'}" for k in range(2, 7)
+            ]
+            assert lines[2:] == verdicts
+
 
 class TestMinFasCommand:
     def test_c3_all_golden(self, c3_file, capsys):
@@ -169,6 +191,27 @@ class TestErrorPaths:
         path.write_text("n 2\n0 0\n")
         assert main(["scc", str(path)]) == 2
         assert "self-loop" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_match_lone_calls(c3_file, capsys):
+    """One process, several commands on the one cached parser, each as if run alone."""
+    commands = [
+        ["solve", "--k", "2", "--labels", "1,0,0", c3_file],
+        ["classify", "--k-max", "4", c3_file],
+        ["solve", "--k", "three", "--labels", "1,1,1", c3_file],
+        ["solve", "--k", "3", "--labels", "1,1,1", c3_file],
+    ]
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        lone = subprocess.run(
+            [sys.executable, "-m", "klights.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (lone.returncode, lone.stdout, lone.stderr)
+    assert _build_parser() is _build_parser()
 
 
 def test_module_entry_point(c3_file):

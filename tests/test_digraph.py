@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from klights import (
@@ -9,6 +11,7 @@ from klights import (
     induced_subgraph,
     is_strongly_connected,
     is_tournament,
+    random_digraph,
     strong_components,
 )
 
@@ -168,6 +171,16 @@ class TestSubgraphs:
         sub, vmap = induced_subgraph(d, [1, 2, 3])
         assert vmap == (1, 2, 3)
         assert sub.arcs == {(0, 1), (1, 2)}
+
+    def test_induced_matches_arc_filter(self):
+        rng = random.Random(12)
+        for seed in range(40):
+            d = random_digraph(rng.randint(0, 30), rng.random(), seed)
+            keep = {v for v in range(d.n) if rng.random() < 0.5}
+            sub, vmap = induced_subgraph(d, keep)
+            assert vmap == tuple(sorted(keep))
+            kept = {(vmap[u], vmap[v]) for u, v in sub.arcs}
+            assert kept == {(u, v) for u, v in d.arcs if u in keep and v in keep}
 
     def test_induced_bad_vertex(self):
         with pytest.raises(InputError):

@@ -1,8 +1,9 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
+import klights.game
 from klights import (
     Digraph,
     InputError,
@@ -10,12 +11,14 @@ from klights import (
     ToggleVector,
     acyclic_ordering,
     apply_toggles,
+    det_int,
     feedback_arcs_of_ordering,
     from_arcs,
     greedy_play,
     is_k_aw,
     is_k_aw_componentwise,
     is_winnable,
+    neighborhood_det,
     neighborhood_matrix,
     random_digraph,
     solve_labeling,
@@ -46,6 +49,16 @@ def test_system_matrix_is_transpose():
             m = system_matrix(d, k)
             n = neighborhood_matrix(d)
             assert m.rows == tuple(zip(*(tuple(x % k for x in r) for r in n.rows)))
+
+
+def test_system_matrix_matches_transposed_neighborhood_matrix():
+    graphs = [Digraph(0, frozenset()), Digraph(1, frozenset())]
+    graphs += [grid(s) for s in range(5, 9)]
+    sizes = [(2, 0.5), (7, 0.3), (12, 0.05), (20, 0.3), (30, 0.6)]
+    graphs += [random_digraph(n, p, seed) for seed, (n, p) in enumerate(sizes)]
+    for d in graphs:
+        for k in (2, 6, 12):
+            assert system_matrix(d, k) == neighborhood_matrix(d).transpose().reduce(k)
 
 
 def test_system_matrix_c3_mod3():
@@ -240,6 +253,83 @@ class TestKAlwaysWinnable:
 
     def test_empty_digraph_vacuously_aw(self):
         assert is_k_aw(Digraph(0, frozenset()), 5)
+
+
+def relabel(d, rng):
+    """The same digraph with its vertex ids shuffled."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph(d.n, frozenset((perm[u], perm[v]) for u, v in d.arcs))
+
+
+def block_chain(blocks, p, rng):
+    """Blocks side by side, forward arcs between them at rate p, ids shuffled."""
+    offsets, arcs, n = [], [], 0
+    for b in blocks:
+        offsets.append(n)
+        arcs += [(n + u, n + v) for u, v in b.arcs]
+        n += b.n
+    for i, j in combinations(range(len(blocks)), 2):
+        for u in range(blocks[i].n):
+            for v in range(blocks[j].n):
+                if rng.random() < p:
+                    arcs.append((offsets[i] + u, offsets[j] + v))
+    return relabel(Digraph(n, frozenset(arcs)), rng)
+
+
+def strong_block(n, p, seed):
+    """A directed n-cycle plus random inner arcs: strongly connected."""
+    cycle = {(v, (v + 1) % n) for v in range(n)}
+    return Digraph(n, frozenset(cycle | random_digraph(n, p, seed).arcs))
+
+
+class TestNeighborhoodDet:
+    """The block-by-block det(N) against Bareiss on the whole matrix."""
+
+    @staticmethod
+    def full_det(d):
+        return det_int(neighborhood_matrix(d))
+
+    def test_random_digraphs(self):
+        for seed, n in enumerate((2, 5, 9, 16, 25, 40, 60)):
+            for p in (0.05, 0.3):
+                d = random_digraph(n, p, seed)
+                assert neighborhood_det(d) == self.full_det(d)
+
+    def test_block_chains(self):
+        rng = random.Random(77)
+        one = Digraph(1, frozenset())
+        chains = [
+            [C3, one, C3, from_arcs(2, [(0, 1), (1, 0)]), one],
+            [strong_block(16, 0.3, s) for s in range(4)],
+            # det(N) of the 5 x 5 grid is 0, so this chain is singular.
+            [strong_block(9, 0.2, 1), grid(5), one, strong_block(12, 0.4, 2)],
+            [one] * 6 + [strong_block(7, 0.5, 3)] + [one] * 6,
+        ]
+        for blocks in chains:
+            for p in (0.0, 0.1, 0.5):
+                d = block_chain(blocks, p, rng)
+                assert neighborhood_det(d) == self.full_det(d)
+        assert neighborhood_det(block_chain(chains[2], 0.1, rng)) == 0
+
+    def test_empty_digraph(self):
+        assert neighborhood_det(Digraph(0, frozenset())) == 1
+
+    def test_acyclic_is_one_without_elimination(self, monkeypatch):
+        calls = []
+
+        def counting_det(m):
+            calls.append(m.nrows)
+            return 1
+
+        monkeypatch.setattr(klights.game, "det_int", counting_det)
+        rng = random.Random(31)
+        for n in (1, 2, 10, 40, 60):
+            for p in (0.05, 0.3, 0.9):
+                d = block_chain([Digraph(1, frozenset())] * n, p, rng)
+                assert acyclic_ordering(d) is not None
+                assert neighborhood_det(d) == 1
+        assert calls == []
 
 
 class TestGreedyPlay:

@@ -58,6 +58,25 @@ class TestDetInt:
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             assert det_int(IntMatrix.from_rows(rows)) == det_cofactor(rows)
 
+    def test_zero_pivots_singular_and_negative_against_cofactor(self):
+        """Sparse rows force row swaps and skipped rows; every third matrix is singular."""
+        rng = random.Random(5180)
+        entries = (0, 0, 0, 0, -3, -1, 1, 2, 7)
+        for case in range(300):
+            n = rng.randint(1, 7)
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if case % 3 == 0 and n >= 2:
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-2, -1, 1, 3))
+                rows[j] = [c * x for x in rows[i]]
+            if case % 5 == 0:
+                rows[0][0] = 0
+            assert det_int(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+
+    def test_pivot_swap_changes_sign(self):
+        assert det_int(IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])) == -1
+        assert det_int(IntMatrix.from_rows([[0, 2, 1], [0, 3, 4], [0, -1, 5]])) == 0
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputError):
             IntMatrix.from_rows([[1, 2], [3]])
